@@ -9,7 +9,7 @@ package's process-global caches start empty, as for one `heckeprod` call.
 Repetitions run until their timed sections add up to --seconds.
 
 --trace 0 prints the end-to-end metrics of BENCHMARK.json; --trace 1 runs
-one untraced and one traced repetition of the same inputs, each in its own
+untraced and traced repetitions of the same inputs in turn, each in its own
 process, and prints the per-layer metrics.  A report line with provenance
 comes first; the last line of stdout is the result object.  See
 perfbench/README.md for what each metric means and should move.
@@ -35,7 +35,8 @@ clock = time.perf_counter
 DEFAULT_SEED = 1
 WORKER_TIMEOUT_S = 170
 # An item answered later than this does not count towards max_charge, and
-# ladder rungs above the reference rungs are stopped at it.
+# ladder rungs above the reference rungs are stopped at it (the worker gets
+# it in the job).
 CAP_S = 1.0
 
 # Full-size inputs.  The self-test passes tiny ones.
@@ -44,7 +45,7 @@ SIZES = {
     "pairs": {"pairs": 1000},
     # rungs up to reference_top always finish and give the latencies;
     # later rungs only decide max_charge, each under the cap
-    "ladder": {"first": 4, "reference_top": 10, "top": 32, "cap_s": CAP_S},
+    "ladder": {"reference_top": 10, "top": 32},
     "cli": {"calls": None},  # None: every golden case once per repetition
 }
 # tail_ms is this percentile of all the run's samples.  Each leaves at least
@@ -56,6 +57,9 @@ SIZES = {
 # rather than derived from each run's sample count, so that runs with
 # different numbers of repetitions read the same point of the distribution.
 TAIL_PERCENTILE = {"sweep": 99.0, "pairs": 99.0, "ladder": 80.0, "cli": 90.0}
+# --trace 1 alternates this many untraced and traced workers, so that one
+# worker slowed by load on the host does not set the trace overhead.
+TRACE_PAIRS = 3
 
 
 class BenchError(RuntimeError):
@@ -88,15 +92,24 @@ def spawn(root: Path, job: dict) -> dict:
     return result
 
 
-def probe_ms(root: Path, code: str, runs: int = 5) -> float:
-    """Median wall time of a fresh `python -c code`."""
-    times = []
+def fresh_ms(root: Path, code: str) -> float:
+    """Wall time of a fresh `python -c code`."""
+    t = clock()
+    subprocess.run([sys.executable, "-c", code], env=worker_env(root),
+                   cwd=root, check=True, timeout=60)
+    return (clock() - t) * 1e3
+
+
+def startup_ms(root: Path, runs: int = 9) -> tuple[float, float]:
+    """Median wall time of a bare interpreter, and the median extra time of
+    one that imports heckeprod.cli.  The two run alternately and the extra
+    time is taken pair by pair, so a drift in host speed falls on both."""
+    bare, extra = [], []
     for _ in range(runs):
-        t = clock()
-        subprocess.run([sys.executable, "-c", code], env=worker_env(root),
-                       cwd=root, check=True, timeout=60)
-        times.append((clock() - t) * 1e3)
-    return statistics.median(times)
+        interp = fresh_ms(root, "pass")
+        bare.append(interp)
+        extra.append(fresh_ms(root, "import heckeprod.cli") - interp)
+    return statistics.median(bare), statistics.median(extra)
 
 
 def make_job(workload: str, seed: int, rep: int, sizes: dict,
@@ -108,6 +121,8 @@ def make_job(workload: str, seed: int, rep: int, sizes: dict,
     elif workload == "pairs":
         job.update(seed=seed, check=rep == 0,
                    expect=expected["pairs"].get(f"{seed}/{job['pairs']}"))
+    elif workload == "ladder":
+        job["cap_s"] = CAP_S
     elif workload == "cli":
         job.update(cases=expected["cli"][:job.pop("calls")], in_process=False)
     return job
@@ -142,7 +157,8 @@ def timed_items(workload: str, rep: dict, sizes: dict) -> list[float]:
 
 def end_to_end(workload, seed, seconds, root, sizes, expected):
     # untimed: writes the bytecode cache and warms the OS file cache
-    probe_ms(root, "import heckeprod.cli", runs=3)
+    for _ in range(3):
+        fresh_ms(root, "import heckeprod.cli")
     reps = []
     while sum(rep["wall_s"] for rep in reps) < seconds:
         reps.append(spawn(root, make_job(workload, seed, len(reps), sizes,
@@ -175,29 +191,42 @@ def end_to_end(workload, seed, seconds, root, sizes, expected):
 
 
 def per_layer(workload, seed, root, sizes, expected):
-    base = make_job(workload, seed, 0, sizes, expected)
-    if workload == "cli":
-        base["in_process"] = True  # spans need the front end in this process
-    if workload == "ladder":
-        base["top"] = base["reference_top"]  # a killed rung would lose spans
+    def job(rep: int, **extra) -> dict:
+        job = make_job(workload, seed, rep, sizes, expected)
+        if workload == "cli":
+            job["in_process"] = True  # spans need the front end in-process
+        if workload == "ladder":
+            job["top"] = job["reference_top"]  # a killed rung would lose spans
+        return dict(job, **extra)
+
     out_dir = root / ".bench_out"
     out_dir.mkdir(exist_ok=True)
-    plain = spawn(root, base)
-    traced = spawn(root, dict(base, trace=True, check=False,
-                              trace_file=str(out_dir / f"trace-{workload}.tsv")))
-    if traced["digest"] != plain["digest"]:
-        traced["failed"] = traced["attempted"]
-        traced["errors"].append("traced digest differs from untraced digest")
-    summary = traced["trace"]
+    plains, traceds = [], []
+    for rep in range(TRACE_PAIRS):
+        path = str(trace_file(root, workload, rep))
+        plains.append(spawn(root, job(rep)))
+        traceds.append(spawn(root, job(rep, trace=True, check=False,
+                                       trace_file=path)))
+    for rep in plains[1:] + traceds:
+        if rep["digest"] != plains[0]["digest"]:
+            rep["failed"] = rep["attempted"]
+            rep["errors"].append("answers differ from the first untraced "
+                                 "worker's")
+    # spans from one whole traced run: the one of median wall time
+    chosen = sorted(range(TRACE_PAIRS), key=lambda r: traceds[r]["wall_s"])[
+        TRACE_PAIRS // 2]
+    summary = traceds[chosen]["trace"]
     names, layers = summary["by_name"], summary["layers"]
     wall = summary["wall_s"]
+    plain_wall = statistics.median(rep["wall_s"] for rep in plains)
 
     def stat(name, key):
         return names.get(name, {}).get(key, 0)
 
-    interp_ms = probe_ms(root, "pass")
+    interp_ms, import_ms = startup_ms(root)
     factors = summary["factors_under_tensor"]
-    a10 = [lat for a, lat in zip(plain["charges"], plain["latencies"]) if a == 10]
+    a10 = [lat for rep in plains
+           for a, lat in zip(rep["charges"], rep["latencies"]) if a == 10]
     metrics = {
         **{f"{layer}.self_s": s for layer, s in layers.items()},
         **{f"{name}.self_s": stat(name, "self_s") for name in (
@@ -218,21 +247,30 @@ def per_layer(workload, seed, root, sizes, expected):
         "schurweyl.drinfeld.calls": stat("schurweyl.drinfeld", "calls"),
         "schurweyl.survivor_ratio":
             summary["survivors"] / factors if factors else 0.0,
+        # the traced share outside the library calls, in untraced seconds
         "cli.batch_overhead_s":
-            plain["wall_s"] - summary["batch_library_s"]
+            (wall - summary["batch_library_s"]) * plain_wall / wall
             if workload == "sweep" else 0.0,
         "cli.interp_ms": interp_ms,
-        "cli.import_ms": probe_ms(root, "import heckeprod.cli") - interp_ms,
-        "cli.bytes_out": traced.get("bytes_out", 0),
+        "cli.import_ms": import_ms,
+        "cli.bytes_out": traceds[chosen].get("bytes_out", 0),
         "src.lines": src_lines(root),
-        "ladder.a10_ms": a10[0] * 1e3 if a10 else 0.0,
+        "ladder.a10_ms": statistics.median(a10) * 1e3 if a10 else 0.0,
         "trace.wall_s": wall,
-        "trace.overhead_frac": wall / plain["wall_s"] - 1,
+        "trace.overhead_frac": statistics.median(
+            rep["wall_s"] for rep in traceds) / plain_wall - 1,
         "trace.accounted_frac": sum(layers.values()) / wall,
+        "trace.library_frac": sum(s for layer, s in layers.items()
+                                  if layer != "cli") / wall,
     }
-    report = {"spans": summary["spans"], "trace_file":
-              str(Path(".bench_out") / f"trace-{workload}.tsv")}
-    return metrics, [plain, traced], report
+    path = trace_file(root, workload, chosen)
+    report = {"spans": summary["spans"],
+              "trace_file": str(path.relative_to(root))}
+    return metrics, plains + traceds, report
+
+
+def trace_file(root: Path, workload: str, rep: int) -> Path:
+    return root / ".bench_out" / f"trace-{workload}-{rep}.tsv"
 
 
 def load_expected() -> dict:
@@ -247,7 +285,7 @@ def src_lines(root: Path) -> int:
                for path in sorted((root / "src" / "heckeprod").rglob("*.py")))
 
 
-def provenance(root: Path, seed: int, sizes: dict) -> dict:
+def provenance(root: Path, seed: int) -> dict:
     revision = dirty = None
     if (root / ".git").exists():
         git = ["git", "-C", str(root)]
@@ -261,7 +299,7 @@ def provenance(root: Path, seed: int, sizes: dict) -> dict:
     return {
         "git_revision": revision, "git_dirty": dirty,
         "python": platform.python_version(), "nproc": os.cpu_count(),
-        "pairs_seed": seed, "ladder_cap_s": sizes["ladder"]["cap_s"],
+        "pairs_seed": seed, "ladder_cap_s": CAP_S,
         "src.lines": src_lines(root),
     }
 
@@ -287,7 +325,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
             raise BenchError(f"metric {metric['name']} is not computed")
         emitted[metric["name"]] = {"value": metrics[metric["name"]],
                                    "unit": metric["unit"]}
-    report = {"workload": workload, **provenance(root, seed, sizes), **extra,
+    report = {"workload": workload, **provenance(root, seed), **extra,
               "failed_frac": failed / attempted,
               "errors": [e for rep in reps for e in rep["errors"]][:10]}
     result = {"correct": failed == 0, "attempted": attempted,

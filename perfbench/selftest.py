@@ -23,7 +23,7 @@ import run
 TINY = {
     "sweep": {"max_weight": 3, "max_charge": 2},
     "pairs": {"pairs": 20},
-    "ladder": {"first": 4, "reference_top": 5, "top": 6, "cap_s": 1.0},
+    "ladder": {"reference_top": 5, "top": 6},
     "cli": {"calls": 4},
 }
 SECONDS = 0.02  # one or a few repetitions each
@@ -76,6 +76,16 @@ def wrong_answers_fail(expected: dict) -> None:
           "cli: stdout that differs from the golden output counts as failed")
 
 
+def recorder_counts_lines() -> None:
+    import worker
+
+    out = worker.Recorder()
+    for chunk in ('{"a1":1}\n{"a1"', ':2}\n{"a1":3}\n', "", '{"a1":4}'):
+        out.write(chunk)
+    check(len(out.times) == 2 + 1,
+          "sweep timestamps whole records, however the writes are split")
+
+
 def missing_name_is_loud() -> None:
     sys.path.insert(0, str(run.ROOT / "src"))
     import tracer
@@ -115,6 +125,7 @@ def main() -> None:
     expected = run.load_expected()
     metrics_emitted(spec, expected)
     wrong_answers_fail(expected)
+    recorder_counts_lines()
     missing_name_is_loud()
     refuses_bare_directory()
     print(f"{len(failures)} failure(s)")

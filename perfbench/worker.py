@@ -27,6 +27,8 @@ clock = time.perf_counter
 
 # How a `heckeprod` console script starts the program.
 CLI_ENTRY = "from heckeprod.cli import console_main; console_main()"
+# The ladder's first rung: 1^4 at charge 4.
+FIRST_RUNG = 4
 
 
 def item_charge(argv: list[str]) -> int:
@@ -36,8 +38,9 @@ def item_charge(argv: list[str]) -> int:
 
 
 class Recorder(io.TextIOBase):
-    """Stand-in stdout that timestamps each write; ``batch`` writes one
-    record per call, so the gaps are per-record latencies."""
+    """Stand-in stdout that timestamps each record (a newline-terminated
+    line) when the write that completes it arrives, however the program
+    splits or joins its writes.  The gaps are per-record latencies."""
 
     def __init__(self, tracer=None):
         self.times: list[float] = []
@@ -45,10 +48,12 @@ class Recorder(io.TextIOBase):
         self.tracer = tracer
 
     def write(self, text: str) -> int:
-        self.times.append(clock())
+        now = clock()
         self.chunks.append(text)
+        completed = text.count("\n")
+        self.times.extend([now] * completed)
         if self.tracer is not None:
-            self.tracer.current_item += 1
+            self.tracer.current_item += completed
         return len(text)
 
 
@@ -88,9 +93,8 @@ def sweep(job, tracer):
     for t in out.times:
         latencies.append(t - previous)
         previous = t
-    charges = [max(rec["a1"], rec["a2"])
-               for rec in map(json.loads, out.chunks)]
-    data = "".join(out.chunks).encode()
+    text = "".join(out.chunks)
+    data = text.encode()
     digest = hashlib.sha256(data).hexdigest()
     expect = job["expect"]
     errors = []
@@ -100,6 +104,9 @@ def sweep(job, tracer):
                      ("bytes", len(data))):
         if got != expect[key]:
             errors.append(f"sweep {key} {got} != expected {expect[key]}")
+    # parsed only once the output is known to be the recorded records
+    charges = [] if errors else [max(rec["a1"], rec["a2"]) for rec in
+                                 map(json.loads, text.splitlines())]
     attempted = max(len(latencies), expect["lines"])
     return {
         "t_first": t_first, "wall_s": wall, "rss_kb": rss_kb,
@@ -193,7 +200,7 @@ def ladder(job, tracer):
 
     rungs = [(a, EvaluationModuleSpec(make_partition([1] * a), a),
               EvaluationModuleSpec(make_partition([]), a))
-             for a in range(job["first"], job["top"] + 1)]
+             for a in range(FIRST_RUNG, job["top"] + 1)]
 
     def on_alarm(signum, frame):
         raise TimeLimit
