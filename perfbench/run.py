@@ -6,7 +6,8 @@
 Load is one caller in a closed loop: one process at a time, no threads.
 Every timed repetition is a fresh interpreter (worker.py), so the
 package's process-global caches start empty, as for one `heckeprod` call.
-Repetitions run until their timed sections add up to --seconds.
+Repetitions run until their timed sections add up to --seconds.  The
+end-to-end times are scaled to reference host speed (hostspeed.py).
 
 --trace 0 prints the end-to-end metrics of BENCHMARK.json; --trace 1 runs
 untraced and traced repetitions of the same inputs in turn, each in its own
@@ -27,6 +28,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+from hostspeed import HostSpeed
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -50,13 +53,13 @@ SIZES = {
 }
 # tail_ms is this percentile of all the run's samples.  Each leaves at least
 # ten samples beyond it in a 20 s run at the seed: one repetition of sweep
-# (4,985 records) or pairs (1,000), 12 ladder passes of 7 reference rungs,
-# 13 CLI cycles of 14 calls.  Sweep stops at p99: beyond it the slowest
+# (4,985 records) or pairs (1,000), 11 ladder passes of 7 reference rungs,
+# 8 CLI cycles of 14 calls.  Sweep stops at p99: beyond it the slowest
 # records differ from one repetition to the next (collector pauses, host
 # load), not between versions of the program.  The percentile is fixed
 # rather than derived from each run's sample count, so that runs with
 # different numbers of repetitions read the same point of the distribution.
-TAIL_PERCENTILE = {"sweep": 99.0, "pairs": 99.0, "ladder": 80.0, "cli": 90.0}
+TAIL_PERCENTILE = {"sweep": 99.0, "pairs": 99.0, "ladder": 80.0, "cli": 85.0}
 # --trace 1 alternates this many untraced and traced workers, so that one
 # worker slowed by load on the host does not set the trace overhead.
 TRACE_PAIRS = 3
@@ -88,15 +91,16 @@ def spawn(root: Path, job: dict) -> dict:
         raise BenchError(f"{job['workload']} worker exited {proc.returncode}:\n"
                          f"{proc.stderr[-3000:]}")
     result = json.loads(proc.stdout.splitlines()[-1])
-    result["setup_s"] = result["t_first"] - t_spawn
+    result["setup_s"] = (result["t_ready"] - t_spawn) * result["setup_scale"]
     return result
 
 
 def fresh_ms(root: Path, code: str) -> float:
     """Wall time of a fresh `python -c code`."""
     t = clock()
+    # captured output: run() then waits on the pipes, not by polling
     subprocess.run([sys.executable, "-c", code], env=worker_env(root),
-                   cwd=root, check=True, timeout=60)
+                   cwd=root, capture_output=True, check=True, timeout=60)
     return (clock() - t) * 1e3
 
 
@@ -114,7 +118,8 @@ def startup_ms(root: Path, runs: int = 9) -> tuple[float, float]:
 
 def make_job(workload: str, seed: int, rep: int, sizes: dict,
              expected: dict) -> dict:
-    job = {"workload": workload, "trace": False, **sizes[workload]}
+    job = {"workload": workload, "trace": False, "calibrate": True,
+           **sizes[workload]}
     if workload == "sweep":
         key = f"{job['max_weight']},{job['max_charge']}"
         job["expect"] = expected["sweep"][key]
@@ -167,24 +172,28 @@ def end_to_end(workload, seed, seconds, root, sizes, expected):
         if rep["digest"] != reps[0]["digest"]:
             rep["failed"] = rep["attempted"]
             rep["errors"].append("answers differ from the first repetition's")
-    # Per-repetition values and their median, so that one repetition run
-    # during a burst of load on the host does not move the result.
+    # Set-up, throughput, memory and reach are medians of per-repetition
+    # values, so that one repetition run during a burst of load on the host
+    # does not move them.  p50 is the median over items of each item's
+    # median over the repetitions, which all run the same items in the same
+    # order, so one slow sample of an item does not move it.  The tail is a
+    # percentile of all the samples.
     timed = [timed_items(workload, rep, sizes) for rep in reps]
-    durations = [sum(items) if workload == "ladder" else rep["wall_s"]
-                 for rep, items in zip(reps, timed)]
+    durations = [sum(items) for items in timed]
     pooled = [lat for items in timed for lat in items]
     tail_value, beyond = tail(pooled, TAIL_PERCENTILE[workload])
     metrics = {
         "setup_s": statistics.median(rep["setup_s"] for rep in reps),
         "items_per_s": statistics.median(
             len(items) / d for items, d in zip(timed, durations)),
-        "p50_ms": statistics.median(statistics.median(items)
-                                    for items in timed) * 1e3,
+        "p50_ms": statistics.median(statistics.median(item)
+                                    for item in zip(*timed)) * 1e3,
         "tail_ms": tail_value * 1e3,
         "peak_rss_mb": statistics.median(rep["rss_kb"] for rep in reps) / 1024,
         "max_charge": statistics.median(reached(rep, CAP_S) for rep in reps),
     }
     report = {"repetitions": len(reps), "samples": len(pooled),
+              "host_scale": statistics.median(rep["host_scale"] for rep in reps),
               "tail_percentile": TAIL_PERCENTILE[workload],
               "samples_beyond_tail": beyond}
     return metrics, reps, report
@@ -192,7 +201,9 @@ def end_to_end(workload, seed, seconds, root, sizes, expected):
 
 def per_layer(workload, seed, root, sizes, expected):
     def job(rep: int, **extra) -> dict:
-        job = make_job(workload, seed, rep, sizes, expected)
+        # raw times, with no calibration inside the spans
+        job = dict(make_job(workload, seed, rep, sizes, expected),
+                   calibrate=False)
         if workload == "cli":
             job["in_process"] = True  # spans need the front end in-process
         if workload == "ladder":
@@ -202,23 +213,27 @@ def per_layer(workload, seed, root, sizes, expected):
     out_dir = root / ".bench_out"
     out_dir.mkdir(exist_ok=True)
     plains, traceds = [], []
+    speed = HostSpeed()
     for rep in range(TRACE_PAIRS):
         path = str(trace_file(root, workload, rep))
-        plains.append(spawn(root, job(rep)))
-        traceds.append(spawn(root, job(rep, trace=True, check=False,
-                                       trace_file=path)))
+        for reps, extra in ((plains, {}), (traceds, dict(
+                trace=True, check=False, trace_file=path))):
+            reps.append(spawn(root, job(rep, **extra)))
+            # the worker's wall at reference speed, from calibrations here
+            # just before and just after it
+            reps[-1]["ref_wall_s"] = reps[-1]["wall_s"] * speed.scale()
     for rep in plains[1:] + traceds:
         if rep["digest"] != plains[0]["digest"]:
             rep["failed"] = rep["attempted"]
             rep["errors"].append("answers differ from the first untraced "
                                  "worker's")
     # spans from one whole traced run: the one of median wall time
-    chosen = sorted(range(TRACE_PAIRS), key=lambda r: traceds[r]["wall_s"])[
-        TRACE_PAIRS // 2]
+    chosen = sorted(range(TRACE_PAIRS),
+                    key=lambda r: traceds[r]["ref_wall_s"])[TRACE_PAIRS // 2]
     summary = traceds[chosen]["trace"]
     names, layers = summary["by_name"], summary["layers"]
     wall = summary["wall_s"]
-    plain_wall = statistics.median(rep["wall_s"] for rep in plains)
+    plain_wall = statistics.median(rep["ref_wall_s"] for rep in plains)
 
     def stat(name, key):
         return names.get(name, {}).get(key, 0)
@@ -247,7 +262,8 @@ def per_layer(workload, seed, root, sizes, expected):
         "schurweyl.drinfeld.calls": stat("schurweyl.drinfeld", "calls"),
         "schurweyl.survivor_ratio":
             summary["survivors"] / factors if factors else 0.0,
-        # the traced share outside the library calls, in untraced seconds
+        # the traced share outside the library calls, in untraced reference
+        # seconds
         "cli.batch_overhead_s":
             (wall - summary["batch_library_s"]) * plain_wall / wall
             if workload == "sweep" else 0.0,
@@ -258,7 +274,7 @@ def per_layer(workload, seed, root, sizes, expected):
         "ladder.a10_ms": statistics.median(a10) * 1e3 if a10 else 0.0,
         "trace.wall_s": wall,
         "trace.overhead_frac": statistics.median(
-            rep["wall_s"] for rep in traceds) / plain_wall - 1,
+            rep["ref_wall_s"] for rep in traceds) / plain_wall - 1,
         "trace.accounted_frac": sum(layers.values()) / wall,
         "trace.library_frac": sum(s for layer, s in layers.items()
                                   if layer != "cli") / wall,

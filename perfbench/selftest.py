@@ -79,10 +79,11 @@ def wrong_answers_fail(expected: dict) -> None:
 def recorder_counts_lines() -> None:
     import worker
 
-    out = worker.Recorder()
+    timing = worker.Timing(None, calibrate=False)
+    out = worker.Recorder(timing)
     for chunk in ('{"a1":1}\n{"a1"', ':2}\n{"a1":3}\n', "", '{"a1":4}'):
         out.write(chunk)
-    check(len(out.times) == 2 + 1,
+    check(len(timing.end()["latencies"]) == 2 + 1,
           "sweep timestamps whole records, however the writes are split")
 
 

@@ -6,8 +6,10 @@ Usage: python3 perfbench/worker.py '<job as JSON>'
 PYTHONPATH, so every repetition imports heckeprod cold: the process-global
 caches inside the package start empty, as they do for one ``heckeprod``
 call.  Work before the first timed call (import, input generation) is the
-repetition's set-up; answer checks run after the timed section.  The last
-line of stdout is one JSON object with the raw samples.
+repetition's set-up; answer checks run after the timed section.  With
+``calibrate`` set, every time is scaled to reference host speed
+(``hostspeed.py``).  The last line of stdout is one JSON object with the
+samples.
 """
 
 from __future__ import annotations
@@ -18,10 +20,13 @@ import json
 import random
 import resource
 import signal
+import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+from hostspeed import REFERENCE_S, HostSpeed, Samples, start_scale
 
 clock = time.perf_counter
 
@@ -37,36 +42,59 @@ def item_charge(argv: list[str]) -> int:
                 if flag in ("--a1", "--a2", "--max-charge")), default=0)
 
 
-class Recorder(io.TextIOBase):
-    """Stand-in stdout that timestamps each record (a newline-terminated
-    line) when the write that completes it arrives, however the program
-    splits or joins its writes.  The gaps are per-record latencies."""
+class Timing:
+    """A worker's timed section.  Set-up ends when it starts; the host is
+    calibrated after that, before the first timed call, when ``calibrate``
+    is set."""
 
-    def __init__(self, tracer=None):
-        self.times: list[float] = []
-        self.chunks: list[str] = []
+    def __init__(self, tracer, calibrate: bool) -> None:
+        self.t_ready = clock()
+        speed = HostSpeed() if calibrate else None
+        self.setup_scale = REFERENCE_S / speed.last if speed else 1.0
+        self.samples = Samples(speed)
         self.tracer = tracer
+        if tracer is not None:
+            tracer.record(True)
+        self.t_first = clock()
+
+    def item_done(self, seconds: float) -> None:
+        self.samples.add(seconds)
+        if self.tracer is not None:
+            self.tracer.current_item += 1
+
+    def end(self) -> dict:
+        """End the timed section; return the samples and the raw wall time
+        of the section, calibrations included."""
+        wall = clock() - self.t_first
+        if self.tracer is not None:
+            self.tracer.uninstall()
+        self.samples.flush()
+        speed = self.samples.speed
+        return {"t_ready": self.t_ready, "setup_scale": self.setup_scale,
+                "host_scale": speed.median_scale() if speed else 1.0,
+                "wall_s": wall, "latencies": self.samples.latencies}
+
+
+class Recorder(io.TextIOBase):
+    """Stand-in stdout that times each record (a newline-terminated line):
+    a record's latency runs from the previous record's write to the write
+    that completes it, however the program splits or joins its writes."""
+
+    def __init__(self, timing: Timing) -> None:
+        self.chunks: list[str] = []
+        self.timing = timing
+        self.previous = timing.t_first
 
     def write(self, text: str) -> int:
         now = clock()
         self.chunks.append(text)
         completed = text.count("\n")
-        self.times.extend([now] * completed)
-        if self.tracer is not None:
-            self.tracer.current_item += completed
+        for _ in range(completed):
+            self.timing.item_done(now - self.previous)
+            self.previous = now
+        if completed:
+            self.previous = clock()  # a calibration is no record's time
         return len(text)
-
-
-def start_timing(tracer) -> float:
-    """Start the timed section; return its start time."""
-    if tracer is not None:
-        tracer.record(True)
-    return clock()
-
-
-def end_of_timing(tracer) -> None:
-    if tracer is not None:
-        tracer.uninstall()
 
 
 class TimeLimit(Exception):
@@ -78,21 +106,16 @@ def sweep(job, tracer):
 
     argv = ["batch", "--max-weight", str(job["max_weight"]),
             "--max-charge", str(job["max_charge"])]
-    out = Recorder(tracer)
+    timing = Timing(tracer, job["calibrate"])
+    out = Recorder(timing)
     saved, sys.stdout = sys.stdout, out
     try:
-        t_first = start_timing(tracer)
         code = cli.main(argv)
-        wall = clock() - t_first
     finally:
         sys.stdout = saved
-    end_of_timing(tracer)
+    timed = timing.end()
     rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
-    latencies, previous = [], t_first
-    for t in out.times:
-        latencies.append(t - previous)
-        previous = t
     text = "".join(out.chunks)
     data = text.encode()
     digest = hashlib.sha256(data).hexdigest()
@@ -107,10 +130,9 @@ def sweep(job, tracer):
     # parsed only once the output is known to be the recorded records
     charges = [] if errors else [max(rec["a1"], rec["a2"]) for rec in
                                  map(json.loads, text.splitlines())]
-    attempted = max(len(latencies), expect["lines"])
+    attempted = max(len(timed["latencies"]), expect["lines"])
     return {
-        "t_first": t_first, "wall_s": wall, "rss_kb": rss_kb,
-        "latencies": latencies, "charges": charges,
+        **timed, "rss_kb": rss_kb, "charges": charges,
         "attempted": attempted, "failed": attempted if errors else 0,
         "errors": errors, "digest": digest, "bytes_out": len(data),
     }
@@ -143,16 +165,13 @@ def pairs(job, tracer):
     from heckeprod import composition_factors, tensor_factors
 
     work = make_pairs(job["seed"], job["pairs"])
-    latencies, results = [], []
-    t_first = start_timing(tracer)
+    results = []
+    timing = Timing(tracer, job["calibrate"])
     for e1, e2, rank in work:
         t = clock()
         results.append(tensor_factors(e1, e2, rank))
-        latencies.append(clock() - t)
-        if tracer is not None:
-            tracer.current_item += 1
-    wall = clock() - t_first
-    end_of_timing(tracer)
+        timing.item_done(clock() - t)
+    timed = timing.end()
     rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
     failed, errors = 0, []
@@ -182,8 +201,7 @@ def pairs(job, tracer):
         errors.append(f"pairs digest {digest} != recorded {job['expect']}")
         failed = len(work)
     return {
-        "t_first": t_first, "wall_s": wall, "rss_kb": rss_kb,
-        "latencies": latencies,
+        **timed, "rss_kb": rss_kb,
         "charges": [max(e1.exponent, e2.exponent) for e1, e2, _ in work],
         "attempted": len(work), "failed": failed, "errors": errors[:5],
         "digest": digest,
@@ -194,7 +212,9 @@ def ladder(job, tracer):
     """Rungs ``1^a`` at charge ``a`` times the empty partition at ``a``.
 
     Rungs up to ``reference_top`` always run to the end; later rungs run
-    under the cap (SIGALRM) and the ladder stops at the first one past it.
+    under the cap (SIGALRM, at the cap in reference seconds converted to
+    the host's current speed), and the ladder stops at the first one past
+    it.  A stopped rung is attempted but has no latency.
     """
     from heckeprod import EvaluationModuleSpec, Symbol, expansion, make_partition
 
@@ -206,28 +226,28 @@ def ladder(job, tracer):
         raise TimeLimit
 
     signal.signal(signal.SIGALRM, on_alarm)
-    done, latencies = [], []
-    t_first = start_timing(tracer)
+    done, stopped = [], 0
+    timing = Timing(tracer, job["calibrate"])
+    speed = timing.samples.speed
     for a, e1, e2 in rungs:
         capped = a > job["reference_top"]
         t = clock()
         try:
             if capped:
-                signal.setitimer(signal.ITIMER_REAL, job["cap_s"])
+                signal.setitimer(signal.ITIMER_REAL, speed.raw_seconds(
+                    job["cap_s"]) if speed else job["cap_s"])
             exp = expansion(e1, e2)
         except TimeLimit:
-            latencies.append(clock() - t)
+            stopped = 1
             break
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
-        latencies.append(clock() - t)
+        timing.item_done(clock() - t)
+        timing.samples.flush()  # scales this rung before the cap test
         done.append((a, exp))
-        if tracer is not None:
-            tracer.current_item += 1
-        if capped and latencies[-1] > job["cap_s"]:
+        if capped and timing.samples.latencies[-1] > job["cap_s"]:
             break
-    wall = clock() - t_first
-    end_of_timing(tracer)
+    timed = timing.end()
     rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
     # One term: the standard symbol (1..a // 2..a+1), one pair moved.
@@ -243,23 +263,24 @@ def ladder(job, tracer):
         [(a, exp.offset, [(str(s), n) for s, n in exp.terms])
          for a, exp in done if a <= job["reference_top"]]).encode()).hexdigest()
     return {
-        "t_first": t_first, "wall_s": wall, "rss_kb": rss_kb,
-        "latencies": latencies,
-        "charges": [a for a, _, _ in rungs[:len(latencies)]],
-        "attempted": len(latencies), "failed": len(errors),
+        **timed, "rss_kb": rss_kb, "charges": [a for a, _ in done],
+        "attempted": len(done) + stopped, "failed": len(errors),
         "errors": errors[:5], "digest": digest,
     }
 
 
 def cli(job, tracer):
     """Each call is a fresh interpreter (no shell), unless ``in_process``:
-    then ``heckeprod.cli.main`` is called here, which the traced run needs."""
+    then ``heckeprod.cli.main`` is called here, which the traced run needs.
+    With ``calibrate``, each call is scaled by ``start_scale()`` taken just
+    before it, not by the calibration loop."""
     cases = job["cases"]
     if job["in_process"]:
         import heckeprod.cli as front
-    latencies, outputs = [], []
-    t_first = start_timing(tracer)
+    outputs, factors = [], []
+    timing = Timing(tracer, calibrate=False)
     for case in cases:
+        factors.append(start_scale() if job["calibrate"] else 1.0)
         t = clock()
         if job["in_process"]:
             out, err = io.StringIO(), io.StringIO()
@@ -274,12 +295,12 @@ def cli(job, tracer):
             proc = subprocess.run([sys.executable, "-c", CLI_ENTRY, *case["argv"]],
                                   capture_output=True, text=True, timeout=60)
             code, stdout = proc.returncode, proc.stdout
-        latencies.append(clock() - t)
+        timing.item_done((clock() - t) * factors[-1])
         outputs.append((code, stdout))
-        if tracer is not None:
-            tracer.current_item += 1
-    wall = clock() - t_first
-    end_of_timing(tracer)
+    # set-up is scaled by the probe that follows it, as on the other
+    # workloads
+    timed = dict(timing.end(), host_scale=statistics.median(factors),
+                 setup_scale=factors[0])
     who = resource.RUSAGE_SELF if job["in_process"] else resource.RUSAGE_CHILDREN
     rss_kb = resource.getrusage(who).ru_maxrss
 
@@ -289,8 +310,7 @@ def cli(job, tracer):
               if code != case["exit"] or stdout != case["stdout"]]
     digest = hashlib.sha256(json.dumps(outputs).encode()).hexdigest()
     return {
-        "t_first": t_first, "wall_s": wall, "rss_kb": rss_kb,
-        "latencies": latencies,
+        **timed, "rss_kb": rss_kb,
         "charges": [item_charge(case["argv"]) for case in cases],
         "attempted": len(cases), "failed": len(errors), "errors": errors[:5],
         "digest": digest,
