@@ -5,14 +5,15 @@ comma-separated list, in any order, plus an integer exponent) and prints
 either human-readable text or machine-readable JSON.  All output is in
 canonical order, so identical invocations are byte-identical.
 
-Exit codes: 0 success, 2 usage error, 3 domain precondition violation,
-4 internal integrity error.
+Exit codes: 0 success (also when the reader closes stdout early), 2 usage
+error, 3 domain precondition violation, 4 internal integrity error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import IO
@@ -57,24 +58,19 @@ def _partition_arg(text: str) -> Partition:
     return make_partition(values)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("value must be a positive integer")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"value must be at least {low}")
+        return value
 
-def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError("value must be non-negative")
-    return value
+    return parse
 
 
 def _add_pair_flags(sub: argparse.ArgumentParser) -> None:
@@ -131,9 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
         "batch",
         help="stream one JSON record per charged-partition pair within the bounds",
     )
-    batch.add_argument("--max-weight", type=_non_negative_int, required=True,
+    batch.add_argument("--max-weight", type=_int_at_least(0), required=True,
                        metavar="W", help="bound on the sum of the two partition weights")
-    batch.add_argument("--max-charge", type=_positive_int, required=True,
+    batch.add_argument("--max-charge", type=_int_at_least(1), required=True,
                        metavar="A", help="bound on both charges")
     return parser
 
@@ -166,14 +162,10 @@ def _symbol_json(s: Symbol) -> dict:
     return {"top": list(s.top), "bottom": list(s.bottom)}
 
 
-def _terms_json(terms) -> list[dict]:
+def _terms_json(terms, labels) -> list[dict]:
     return [
-        {
-            "symbol": _symbol_json(sym),
-            "n": n,
-            "multisegment": _mseg_json(multisegment_of_symbol(sym)),
-        }
-        for sym, n in terms
+        {"symbol": _symbol_json(sym), "n": n, "multisegment": _mseg_json(m)}
+        for (sym, n), m in zip(terms, labels)
     ]
 
 
@@ -198,9 +190,7 @@ def _symbol_text(s: Symbol) -> list[str]:
 
 
 def _expansion_text(exp: Expansion) -> str:
-    terms = " + ".join(
-        f"v^{n} {multisegment_of_symbol(sym)}" for sym, n in exp.terms
-    )
+    terms = " + ".join(f"v^{n} {m}" for (_, n), m in zip(exp.terms, exp.labels))
     return f"v^{exp.offset} * ( {terms} )"
 
 
@@ -250,20 +240,21 @@ def _run_pairs(req: Request, out: IO[str]) -> None:
 def _run_ancestors(req: Request, out: IO[str]) -> None:
     sigma = symbol_of(*normalize_inputs(req.e1, req.e2))
     terms = standard_ancestors(sigma)
+    labels = [multisegment_of_symbol(sym) for sym, _ in terms]
     if req.fmt == "json":
         _dump(
             {
                 "schema_version": SCHEMA_VERSION,
                 "symbol": _symbol_json(sigma),
-                "terms": _terms_json(terms),
+                "terms": _terms_json(terms, labels),
             },
             out,
         )
     else:
         out.write(f"{len(terms)} standard ancestors\n")
-        for sym, n in terms:
+        for (sym, n), m in zip(terms, labels):
             out.write(
-                f"n={n} m={multisegment_of_symbol(sym)}\n"
+                f"n={n} m={m}\n"
                 + "\n".join("  " + line for line in _symbol_text(sym))
                 + "\n"
             )
@@ -276,7 +267,7 @@ def _run_expand(req: Request, out: IO[str]) -> None:
             {
                 "schema_version": SCHEMA_VERSION,
                 "offset": exp.offset,
-                "terms": _terms_json(exp.terms),
+                "terms": _terms_json(exp.terms, exp.labels),
             },
             out,
         )
@@ -354,7 +345,7 @@ def _run_batch(req: Request, out: IO[str]) -> None:
                 "lambda2": list(cp2.partition),
                 "a2": cp2.charge,
                 "offset": exp.offset,
-                "terms": _terms_json(exp.terms),
+                "terms": _terms_json(exp.terms, exp.labels),
                 "factors": [_mseg_json(m) for m in exp.factors()],
             }
             out.write(json.dumps(record, separators=(",", ":")) + "\n")
@@ -400,4 +391,13 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``heckeprod batch ... | head``): stop
+        # quietly.  Point stdout at devnull so that the flush at
+        # interpreter exit cannot raise the same error again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    raise SystemExit(code)

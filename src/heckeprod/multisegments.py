@@ -96,14 +96,14 @@ def max_segment_length(m: Multisegment) -> int:
     return max((seg.length for seg in m), default=0)
 
 
+def _row_segments(row: tuple[int, ...]) -> tuple[Segment, ...]:
+    """Row multisegment of one beta row, read off its entries: entry ``e``
+    at 1-based position ``j`` is the diagram row ``[j, e - 1]`` when
+    ``e > j`` and an empty row otherwise."""
+    return tuple(Segment(j, e - 1) for j, e in enumerate(row, start=1) if e > j)
+
+
 def multisegment_of_symbol(s: "Symbol") -> Multisegment:
     """Decode both rows of a symbol and add up their row multisegments."""
-    # partitions imports this module for the Multisegment type, so the row
-    # decoders have to be pulled in lazily.
-    from .partitions import from_beta, multisegment_of
-
-    total = Multisegment()
-    for row in (s.top, s.bottom):
-        if len(row):
-            total = total + multisegment_of(from_beta(row))
-    return total
+    top, bottom = s.rows()
+    return Multisegment(_row_segments(top) + _row_segments(bottom))

@@ -22,7 +22,7 @@ once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError, IntegrityError
 from .multisegments import Multisegment, multisegment_of_symbol
@@ -76,35 +76,38 @@ class Expansion:
     """Graded expansion of a product of two flag minors.
 
     ``offset`` is the global exponent; ``terms`` maps each standard
-    ancestor symbol to its swap count, in canonical symbol order.  Every
-    term labels a distinct multisegment (multiplicity one); a repeat is an
-    integrity failure.
+    ancestor symbol to its swap count, in canonical symbol order, and
+    ``labels`` holds each term's multisegment, aligned with ``terms``.
+    Every term labels a distinct multisegment (multiplicity one); a
+    repeat is an integrity failure.
     """
 
     offset: int
     terms: tuple[tuple[Symbol, int], ...]
+    labels: tuple[Multisegment, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         terms = tuple(sorted(self.terms))
         object.__setattr__(self, "terms", terms)
-        labels = set()
-        for sym, n in terms:
+        labels = tuple(multisegment_of_symbol(sym) for sym, _ in terms)
+        object.__setattr__(self, "labels", labels)
+        seen = set()
+        for (sym, n), label in zip(terms, labels):
             if not is_standard(sym):
                 raise IntegrityError(f"expansion term {sym} is not standard")
             if not 0 <= n <= len(pair_structure(sym).pairs):
                 raise IntegrityError(
                     f"swap count {n} out of range for term {sym}"
                 )
-            label = multisegment_of_symbol(sym)
-            if label in labels:
+            if label in seen:
                 raise IntegrityError(
                     f"two expansion terms share the multisegment {label}"
                 )
-            labels.add(label)
+            seen.add(label)
 
     def factors(self) -> tuple[Multisegment, ...]:
         """Multisegment labels of the terms, in canonical order."""
-        return tuple(sorted(multisegment_of_symbol(sym) for sym, _ in self.terms))
+        return tuple(sorted(self.labels))
 
 
 def expansion(e1: EvaluationModuleSpec, e2: EvaluationModuleSpec) -> Expansion:

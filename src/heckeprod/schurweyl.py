@@ -64,16 +64,6 @@ class DrinfeldData:
             if not exps:
                 raise IntegrityError(f"degree {k} listed with no roots")
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(k for k, _ in self.roots_by_degree)
-
-    def roots(self, k: int) -> tuple[int, ...]:
-        """Root exponents of the degree-``k`` polynomial (empty if it is 1)."""
-        for degree, exps in self.roots_by_degree:
-            if degree == k:
-                return exps
-        return ()
-
     def source_multisegment(self) -> Multisegment:
         """Recover the multisegment this data came from.
 

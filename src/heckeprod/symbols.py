@@ -32,7 +32,6 @@ distinct valid symbols; the code still asserts this and raises
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -103,13 +102,8 @@ def is_standard(s: Symbol) -> bool:
     return all(t <= b for t, b in zip(s.top, s.bottom))
 
 
-@lru_cache(maxsize=None)
 def _pairing(top: tuple[int, ...], bottom: tuple[int, ...]):
-    """(fixed, pairs) of the canonical injection for standard rows.
-
-    Cached on the raw row tuples: the ancestor search revisits the same
-    candidate rows many times across a sweep.
-    """
+    """(fixed, pairs) of the canonical injection for standard rows."""
     beta = frozenset(top)
     fixed = frozenset(j for j in bottom if j in beta)
     used_images = set(fixed)

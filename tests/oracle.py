@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import DomainError, IntegrityError
-from .symbols import Symbol
+from heckeprod.errors import DomainError, IntegrityError
+from heckeprod.symbols import Symbol
 
 DEFAULT_BOUND = 12
 

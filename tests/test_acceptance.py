@@ -32,7 +32,6 @@ from heckeprod import (
     tensor_factors,
 )
 from heckeprod.cli import Request, _charged_partitions, run
-from heckeprod.oracle import brute_ancestors, brute_swap_orbit
 from helpers import (
     ANCESTOR_COUNTS,
     E1,
@@ -48,6 +47,7 @@ from helpers import (
     random_spec_pair,
     random_standard_symbol,
 )
+from oracle import brute_ancestors, brute_swap_orbit
 
 SWEEP_MAX_WEIGHT = 8
 SWEEP_MAX_CHARGE = 6

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -239,3 +243,22 @@ def test_run_writes_to_given_stream():
     buffer = io.StringIO()
     cli.run(req, buffer)
     assert json.loads(buffer.getvalue())["schema_version"] == 1
+
+
+def test_batch_into_closed_pipe_exits_quietly():
+    # The output is far larger than a pipe buffer, so the command is still
+    # writing when the reader goes away after the first record.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from heckeprod.cli import console_main; console_main()",
+         "batch", "--max-weight", "6", "--max-charge", "5"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert json.loads(proc.stdout.readline())["schema_version"] == 1
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""

@@ -60,6 +60,7 @@ def test_sum_identity_and_multiplicity():
         ((1, 2, 5, 6), (3, 7), N1),
         ((1, 3, 5, 6), (2, 7), N3),
         ((1, 2), (1,), Multisegment()),
+        ((2, 4), (), mseg((1, 1), (2, 3))),
     ],
 )
 def test_multisegment_of_symbol_golden(top, bottom, expected):

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from heckeprod import DomainError, Symbol, standard_ancestors, swap_orbit
-from heckeprod.oracle import brute_ancestors, brute_swap_orbit
 from helpers import ANCESTOR_COUNTS, S1, SIGMA, random_standard_symbol, random_symbol
+from oracle import brute_ancestors, brute_swap_orbit
 
 
 def test_brute_orbit_golden():
