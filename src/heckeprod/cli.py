@@ -16,12 +16,12 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Iterable
 
 from .errors import DomainError, IntegrityError
 from .multisegments import Multisegment, multisegment_of_symbol
 from .partitions import ChargedPartition, Partition, beta_row, make_partition
-from .products import EvaluationModuleSpec, Expansion, expansion, normalize_inputs
+from .products import EvaluationModuleSpec, expansion, normalize_inputs
 from .schurweyl import DrinfeldData, tensor_factors
 from .symbols import Symbol, pair_structure, standard_ancestors, symbol_of
 
@@ -73,27 +73,49 @@ def _int_at_least(low: int):
     return parse
 
 
-def _add_pair_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--lambda1",
+_PAIR_FLAGS = (
+    ("--lambda1", dict(
         type=_partition_arg,
         default=Partition(),
         metavar="PARTS",
         help="first partition, comma-separated (any order; empty for the empty partition)",
-    )
-    sub.add_argument("--a1", type=int, required=True, metavar="INT",
-                     help="exponent of the first spectral parameter")
-    sub.add_argument(
-        "--lambda2",
+    )),
+    ("--a1", dict(type=int, required=True, metavar="INT",
+                  help="exponent of the first spectral parameter")),
+    ("--lambda2", dict(
         type=_partition_arg,
         default=Partition(),
         metavar="PARTS",
         help="second partition, comma-separated",
-    )
-    sub.add_argument("--a2", type=int, required=True, metavar="INT",
-                     help="exponent of the second spectral parameter")
-    sub.add_argument("--format", choices=("text", "json"), default="text",
-                     dest="fmt", help="output format (default text)")
+    )),
+    ("--a2", dict(type=int, required=True, metavar="INT",
+                  help="exponent of the second spectral parameter")),
+    ("--format", dict(choices=("text", "json"), default="text",
+                      dest="fmt", help="output format (default text)")),
+)
+
+# (names, help, flags) of each subcommand; the names of one entry run the
+# same command
+_COMMANDS = (
+    (("symbol",), "two-row symbol of the normalized pair", _PAIR_FLAGS),
+    (("pairs",), "pair structure of the pair's (standard) symbol", _PAIR_FLAGS),
+    (("ancestors",), "standard symbols whose swap orbit contains the pair's symbol",
+     _PAIR_FLAGS),
+    (("expand",), "graded expansion of the product of the two flag minors",
+     _PAIR_FLAGS),
+    (("factors",), "composition factors of the induction product", _PAIR_FLAGS),
+    (("drinfeld", "tensor"),
+     "Drinfeld polynomials of the surviving tensor-product factors",
+     _PAIR_FLAGS + (("--rank", dict(type=int, required=True, metavar="N",
+                                    help="rank bound N of the quantum affine algebra")),)),
+    (("batch",),
+     "stream one JSON record per charged-partition pair within the bounds", (
+         ("--max-weight", dict(type=_int_at_least(0), required=True, metavar="W",
+                               help="bound on the sum of the two partition weights")),
+         ("--max-charge", dict(type=_int_at_least(1), required=True, metavar="A",
+                               help="bound on both charges")),
+     )),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,33 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
         "flag-minor expansions and Drinfeld polynomials.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, helptext in (
-        ("symbol", "two-row symbol of the normalized pair"),
-        ("pairs", "pair structure of the pair's (standard) symbol"),
-        ("ancestors", "standard symbols whose swap orbit contains the pair's symbol"),
-        ("expand", "graded expansion of the product of the two flag minors"),
-        ("factors", "composition factors of the induction product"),
-    ):
-        _add_pair_flags(sub.add_parser(name, help=helptext))
-
-    for name in ("drinfeld", "tensor"):
-        p = sub.add_parser(
-            name,
-            help="Drinfeld polynomials of the surviving tensor-product factors",
-        )
-        _add_pair_flags(p)
-        p.add_argument("--rank", type=int, required=True, metavar="N",
-                       help="rank bound N of the quantum affine algebra")
-
-    batch = sub.add_parser(
-        "batch",
-        help="stream one JSON record per charged-partition pair within the bounds",
-    )
-    batch.add_argument("--max-weight", type=_int_at_least(0), required=True,
-                       metavar="W", help="bound on the sum of the two partition weights")
-    batch.add_argument("--max-charge", type=_int_at_least(1), required=True,
-                       metavar="A", help="bound on both charges")
+    for names, helptext, flags in _COMMANDS:
+        for name in names:
+            p = sub.add_parser(name, help=helptext)
+            for flag, options in flags:
+                p.add_argument(flag, **options)
     return parser
 
 
@@ -143,12 +143,14 @@ def parse_args(argv) -> Request:
             max_charge=ns.max_charge,
             fmt="json",
         )
-    e1 = EvaluationModuleSpec(ns.lambda1, ns.a1)
-    e2 = EvaluationModuleSpec(ns.lambda2, ns.a2)
-    if ns.command in ("drinfeld", "tensor"):
+    return Request(
         # both names run the tensor-product computation
-        return Request(command="tensor", e1=e1, e2=e2, rank=ns.rank, fmt=ns.fmt)
-    return Request(command=ns.command, e1=e1, e2=e2, fmt=ns.fmt)
+        command="tensor" if ns.command == "drinfeld" else ns.command,
+        e1=EvaluationModuleSpec(ns.lambda1, ns.a1),
+        e2=EvaluationModuleSpec(ns.lambda2, ns.a2),
+        rank=getattr(ns, "rank", None),
+        fmt=ns.fmt,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +191,6 @@ def _symbol_text(s: Symbol) -> list[str]:
     ]
 
 
-def _expansion_text(exp: Expansion) -> str:
-    terms = " + ".join(f"v^{n} {m}" for (_, n), m in zip(exp.terms, exp.labels))
-    return f"v^{exp.offset} * ( {terms} )"
-
-
 def _polynomials_text(data: DrinfeldData) -> str:
     parts = []
     for k, exps in data.roots_by_degree:
@@ -202,109 +199,75 @@ def _polynomials_text(data: DrinfeldData) -> str:
     return "; ".join(parts) if parts else "all P_k = 1"
 
 
-def _dump(obj: dict, out: IO[str]) -> None:
-    out.write(json.dumps(obj, separators=(",", ":")) + "\n")
+def _emit(req: Request, out: IO[str], payload: dict, lines: Iterable) -> None:
+    """Write one answer: ``payload`` as one compact JSON line carrying the
+    schema version, or else each of the text ``lines`` on a line of its own."""
+    if req.fmt == "json":
+        record = {"schema_version": SCHEMA_VERSION, **payload}
+        out.write(json.dumps(record, separators=(",", ":")) + "\n")
+    else:
+        out.write("".join(f"{line}\n" for line in lines))
 
 
 # ---------------------------------------------------------------------------
 # command execution
 
+def _symbol(req: Request) -> Symbol:
+    return symbol_of(*normalize_inputs(req.e1, req.e2))
+
+
 def _run_symbol(req: Request, out: IO[str]) -> None:
-    sigma = symbol_of(*normalize_inputs(req.e1, req.e2))
-    if req.fmt == "json":
-        _dump({"schema_version": SCHEMA_VERSION, "symbol": _symbol_json(sigma)}, out)
-    else:
-        out.write("\n".join(_symbol_text(sigma)) + "\n")
+    sigma = _symbol(req)
+    _emit(req, out, {"symbol": _symbol_json(sigma)}, _symbol_text(sigma))
 
 
 def _run_pairs(req: Request, out: IO[str]) -> None:
-    sigma = symbol_of(*normalize_inputs(req.e1, req.e2))
+    sigma = _symbol(req)
     ps = pair_structure(sigma)
-    if req.fmt == "json":
-        _dump(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "symbol": _symbol_json(sigma),
-                "fixed": sorted(ps.fixed),
-                "pairs": [[j, img] for j, img in ps.pairs],
-            },
-            out,
-        )
-    else:
-        lines = _symbol_text(sigma)
-        fixed = " ".join(str(j) for j in sorted(ps.fixed)) or "-"
-        pairs = " ".join(f"({j},{img})" for j, img in ps.pairs) or "-"
-        out.write("\n".join(lines) + f"\nfixed: {fixed}\npairs: {pairs}\n")
+    fixed = sorted(ps.fixed)
+    payload = {
+        "symbol": _symbol_json(sigma),
+        "fixed": fixed,
+        "pairs": [[j, img] for j, img in ps.pairs],
+    }
+    lines = _symbol_text(sigma) + [
+        "fixed: " + (" ".join(str(j) for j in fixed) or "-"),
+        "pairs: " + (" ".join(f"({j},{img})" for j, img in ps.pairs) or "-"),
+    ]
+    _emit(req, out, payload, lines)
 
 
 def _run_ancestors(req: Request, out: IO[str]) -> None:
-    sigma = symbol_of(*normalize_inputs(req.e1, req.e2))
+    sigma = _symbol(req)
     terms = standard_ancestors(sigma)
     labels = [multisegment_of_symbol(sym) for sym, _ in terms]
-    if req.fmt == "json":
-        _dump(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "symbol": _symbol_json(sigma),
-                "terms": _terms_json(terms, labels),
-            },
-            out,
-        )
-    else:
-        out.write(f"{len(terms)} standard ancestors\n")
-        for (sym, n), m in zip(terms, labels):
-            out.write(
-                f"n={n} m={m}\n"
-                + "\n".join("  " + line for line in _symbol_text(sym))
-                + "\n"
-            )
+    lines = [f"{len(terms)} standard ancestors"]
+    for (sym, n), m in zip(terms, labels):
+        lines.append(f"n={n} m={m}")
+        lines.extend("  " + line for line in _symbol_text(sym))
+    payload = {"symbol": _symbol_json(sigma), "terms": _terms_json(terms, labels)}
+    _emit(req, out, payload, lines)
 
 
 def _run_expand(req: Request, out: IO[str]) -> None:
     exp = expansion(req.e1, req.e2)
-    if req.fmt == "json":
-        _dump(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "offset": exp.offset,
-                "terms": _terms_json(exp.terms, exp.labels),
-            },
-            out,
-        )
-    else:
-        out.write(_expansion_text(exp) + "\n")
+    terms = " + ".join(f"v^{n} {m}" for (_, n), m in zip(exp.terms, exp.labels))
+    payload = {"offset": exp.offset, "terms": _terms_json(exp.terms, exp.labels)}
+    _emit(req, out, payload, [f"v^{exp.offset} * ( {terms} )"])
 
 
 def _run_factors(req: Request, out: IO[str]) -> None:
     factors = expansion(req.e1, req.e2).factors()
-    if req.fmt == "json":
-        _dump(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "factors": [_mseg_json(m) for m in factors],
-            },
-            out,
-        )
-    else:
-        for m in factors:
-            out.write(f"{m}\n")
+    _emit(req, out, {"factors": [_mseg_json(m) for m in factors]}, factors)
 
 
 def _run_tensor(req: Request, out: IO[str]) -> None:
     survivors = tensor_factors(req.e1, req.e2, req.rank)
-    if req.fmt == "json":
-        _dump(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "N": req.rank,
-                "factors": [_drinfeld_json(d) for d in survivors],
-            },
-            out,
-        )
-    else:
-        out.write(f"N = {req.rank}\n")
-        for d in survivors:
-            out.write(f"{d.source_multisegment()}: {_polynomials_text(d)}\n")
+    payload = {"N": req.rank, "factors": [_drinfeld_json(d) for d in survivors]}
+    lines = [f"N = {req.rank}"] + [
+        f"{d.source_multisegment()}: {_polynomials_text(d)}" for d in survivors
+    ]
+    _emit(req, out, payload, lines)
 
 
 def _charged_partitions(max_weight: int, max_charge: int) -> list[ChargedPartition]:
@@ -339,7 +302,6 @@ def _run_batch(req: Request, out: IO[str]) -> None:
                 EvaluationModuleSpec(cp2.partition, cp2.charge),
             )
             record = {
-                "schema_version": SCHEMA_VERSION,
                 "lambda1": list(cp1.partition),
                 "a1": cp1.charge,
                 "lambda2": list(cp2.partition),
@@ -348,7 +310,7 @@ def _run_batch(req: Request, out: IO[str]) -> None:
                 "terms": _terms_json(exp.terms, exp.labels),
                 "factors": [_mseg_json(m) for m in exp.factors()],
             }
-            out.write(json.dumps(record, separators=(",", ":")) + "\n")
+            _emit(req, out, record, ())
 
 
 _RUNNERS = {
@@ -401,3 +363,7 @@ def console_main() -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 0
     raise SystemExit(code)
+
+
+if __name__ == "__main__":
+    console_main()

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from .errors import DomainError, IntegrityError
 from .multisegments import Multisegment, multisegment_of_symbol
 from .partitions import ChargedPartition, Partition, beta_row, content_count
-from .symbols import Symbol, is_standard, pair_structure, standard_ancestors, symbol_of
+from .symbols import Symbol, is_standard, standard_ancestors, symbol_of
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,10 @@ class Expansion:
         for (sym, n), label in zip(terms, labels):
             if not is_standard(sym):
                 raise IntegrityError(f"expansion term {sym} is not standard")
-            if not 0 <= n <= len(pair_structure(sym).pairs):
+            # every bottom value of a standard symbol that is not shared
+            # with the top row is the source of one pair
+            top, bottom = sym.rows()
+            if not 0 <= n <= len(bottom) - len(set(top).intersection(bottom)):
                 raise IntegrityError(
                     f"swap count {n} out of range for term {sym}"
                 )

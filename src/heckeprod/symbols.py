@@ -6,26 +6,28 @@ bottom entry in the same column, comparing both rows from their first
 entries.
 
 Every standard symbol carries a canonical injection of its bottom row into
-its top row, built level by level:
+its top row, built by matching brackets:
 
-* level 0 sources are the values shared by both rows; each maps to itself;
-* at level ``l >= 1``, an unassigned bottom value ``j`` maps to ``j - l``
-  provided ``j - l`` is a top value not consumed at an earlier level.
+* the values shared by both rows are fixed; each maps to itself;
+* the remaining values, read in increasing order, are brackets: a top
+  value opens one, and a bottom value closes the nearest one still open
+  and maps to it.
 
-Distinct sources at one level have distinct forced targets, so within a
-level there is nothing to break ties over; levels are simply processed in
-increasing order until every bottom value is assigned (standardness
-guarantees this terminates).  The injection's non-fixed (source, image)
-pairs can be exchanged between the rows in any combination.  The ``2**p``
-symbols reachable this way form the *swap orbit* of the symbol, and
+Standardness guarantees that every bottom value finds an open bracket.
+Equivalently, the injection is built level by level: level 0 fixes the
+shared values, and at level ``l >= 1`` an unassigned bottom value ``j``
+maps to ``j - l`` provided ``j - l`` is a top value not consumed at an
+earlier level.  The injection's non-fixed (source, image) pairs can be
+exchanged between the rows in any combination.  The ``2**p`` symbols
+reachable this way form the *swap orbit* of the symbol, and
 :func:`standard_ancestors` inverts the construction: it finds every
 standard symbol whose orbit contains a given symbol.
 
 A counting fact used throughout: a pair's source never occurs in the top
 row and its image never occurs in the bottom row (shared values are all
-fixed at level 0, and their top copies are consumed there).  Hence swaps
-can never collide with existing entries and all ``2**p`` orbit members are
-distinct valid symbols; the code still asserts this and raises
+fixed, and never open or close a bracket).  Hence swaps can never collide
+with existing entries and all ``2**p`` orbit members are distinct valid
+symbols; the code still asserts this and raises
 :class:`~heckeprod.errors.IntegrityError` on any breach.
 """
 
@@ -103,30 +105,26 @@ def is_standard(s: Symbol) -> bool:
 
 
 def _pairing(top: tuple[int, ...], bottom: tuple[int, ...]):
-    """(fixed, pairs) of the canonical injection for standard rows."""
-    beta = frozenset(top)
-    fixed = frozenset(j for j in bottom if j in beta)
-    used_images = set(fixed)
-    remaining = [j for j in bottom if j not in beta]
-    assigned: dict[int, int] = {}
-    level = 0
-    while remaining:
-        level += 1
-        if level >= remaining[-1]:
-            # every target must be >= 1, so level < max remaining source
+    """(fixed, pairs) of the canonical injection for standard rows.
+
+    The values in one row only are read in ascending order as brackets: a
+    top value opens one, and a bottom value closes the nearest one still
+    open and is paired with it.
+    """
+    top_set = frozenset(top)
+    fixed = frozenset(j for j in bottom if j in top_set)
+    open_tops: list[int] = []
+    pairs = []
+    for j in sorted(top_set.symmetric_difference(bottom)):
+        if j in top_set:
+            open_tops.append(j)
+        elif open_tops:
+            pairs.append((j, open_tops.pop()))
+        else:
             raise IntegrityError(
-                f"injection construction stalled on rows {top} // {bottom}"
+                f"bottom value {j} has no open top value on rows {top} // {bottom}"
             )
-        hits = [
-            j for j in remaining if j - level in beta and j - level not in used_images
-        ]
-        for j in hits:
-            assigned[j] = j - level
-            used_images.add(j - level)
-        if hits:
-            remaining = [j for j in remaining if j not in assigned]
-    pairs = tuple(sorted(assigned.items()))
-    return fixed, pairs
+    return fixed, tuple(pairs)
 
 
 def pair_structure(s: Symbol) -> PairStructure:

@@ -262,3 +262,28 @@ def test_batch_into_closed_pipe_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+def _python(args, timeout):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=timeout,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+
+
+@pytest.mark.parametrize("module", ["heckeprod", "heckeprod.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    proc = _python(["-m", module, "factors"] + PAIR, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [str(m) for m in (N4, N3, N2, N1)]
+
+
+def test_huge_part_answers_promptly():
+    # the pair structure's cost must not grow with the values themselves
+    proc = _python(
+        ["-c", "from heckeprod.cli import console_main; console_main()",
+         "factors", "--lambda1", "99999999999999999999", "--a1", "1", "--a2", "1"],
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[1,99999999999999999999]\n")
